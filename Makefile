@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-debugasserts race check chaos serve-chaos bench bench-campaign bench-hotpath bench-scale experiments examples fig4 serve serve-smoke obs-smoke clean
+.PHONY: all build vet test test-short test-debugasserts race check chaos serve-chaos bench bench-smoke bench-campaign bench-hotpath bench-scale experiments examples fig4 serve serve-smoke obs-smoke clean
 
 all: build vet test
 
@@ -55,6 +55,13 @@ serve-chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark's own tests: a smoke run of every workload
+# with its bytes checked against the goldens (eval-all against the short
+# experiments output), schedule determinism and the correctness gates.
+# perfbench is a module of its own, so `go test ./...` does not run them.
+bench-smoke:
+	cd perfbench && $(GO) test .
 
 # Serial-vs-parallel campaign timing: runs the whole evaluation at
 # -workers 1 and -workers N, verifies the bytes match, and writes

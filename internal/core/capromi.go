@@ -81,7 +81,8 @@ type CaPRoMi struct {
 	hist []HistoryTable
 	cnts [][]caEntry
 	// loglut precomputes LogWeight for every raw weight in [0, RefInt),
-	// taking Eq. 2 off the per-entry collective-decision loop.
+	// taking Eq. 2 off the per-entry collective-decision loop. It is
+	// LoPRoMi's shared read-only table (see weightLUTs).
 	loglut []int32
 	bern   *rng.Bernoulli
 	src    *rng.LFSR32
@@ -110,20 +111,17 @@ func NewCa(banks int, cfg CaConfig, seed uint64) (*CaPRoMi, error) {
 		shift++
 	}
 	c := &CaPRoMi{
-		cfg:    cfg,
-		hist:   make([]HistoryTable, banks),
-		cnts:   make([][]caEntry, banks),
-		loglut: make([]int32, cfg.RefInt),
-		seed:   seed,
-		shift:  shift,
+		cfg:   cfg,
+		hist:  make([]HistoryTable, banks),
+		cnts:  make([][]caEntry, banks),
+		seed:  seed,
+		shift: shift,
 	}
 	for b := range c.hist {
 		c.hist[b] = *NewHistoryTable(cfg.HistoryEntries)
 		c.cnts[b] = make([]caEntry, 0, cfg.CounterEntries)
 	}
-	for w := 0; w < cfg.RefInt; w++ {
-		c.loglut[w] = int32(LogWeight(w))
-	}
+	_, c.loglut = weightLUTs(LoPRoMi, cfg.RefInt)
 	c.Reset()
 	return c, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"tivapromi/internal/mitigation"
 	"tivapromi/internal/rng"
@@ -133,7 +134,8 @@ type TiVaPRoMi struct {
 	// per-variant Weight→LogWeight/QuadWeight mapping out of the
 	// per-activation path; the hardware analogue is the modified priority
 	// encoder of Eq. 2, which is likewise a pure combinational function of
-	// the interval difference.
+	// the interval difference. The tables are shared read-only by every
+	// instance with the same (variant, RefInt); see weightLUTs.
 	lutHit  []int32
 	lutMiss []int32
 	bern    *rng.Bernoulli
@@ -173,23 +175,43 @@ func New(variant Variant, banks int, cfg Config, seed uint64) (*TiVaPRoMi, error
 	for b := range t.tables {
 		t.tables[b] = *NewHistoryTable(cfg.HistoryEntries)
 	}
-	t.lutHit, t.lutMiss = buildWeightLUTs(variant, cfg.RefInt)
+	t.lutHit, t.lutMiss = weightLUTs(variant, cfg.RefInt)
 	t.Reset()
 	return t, nil
 }
 
-// buildWeightLUTs precomputes the per-variant effective-weight tables for
-// every raw weight in [0, refInt). hit applies when the activated row is
-// in the history table, miss when it is not; only LoLiPRoMi distinguishes
-// the two.
-func buildWeightLUTs(variant Variant, refInt int) (hit, miss []int32) {
-	hit = make([]int32, refInt)
-	miss = make([]int32, refInt)
-	for w := 0; w < refInt; w++ {
-		hit[w] = int32(variantWeight(variant, w, true, refInt))
-		miss[w] = int32(variantWeight(variant, w, false, refInt))
+// lutKey identifies one pair of weight tables.
+type lutKey struct {
+	variant Variant
+	refInt  int
+}
+
+// lutPair is a built pair of weight tables.
+type lutPair struct{ hit, miss []int32 }
+
+// sharedLUTs caches the built weight tables per lutKey. The tables are a
+// pure function of the key and are never written after construction, so
+// every instance shares one read-only copy.
+var sharedLUTs sync.Map // lutKey → *lutPair
+
+// weightLUTs returns the per-variant effective-weight tables for every
+// raw weight in [0, refInt), building them on first use. hit applies when
+// the activated row is in the history table, miss when it is not; only
+// LoLiPRoMi distinguishes the two. Callers must not write to the tables.
+func weightLUTs(variant Variant, refInt int) (hit, miss []int32) {
+	key := lutKey{variant, refInt}
+	if p, ok := sharedLUTs.Load(key); ok {
+		lp := p.(*lutPair)
+		return lp.hit, lp.miss
 	}
-	return hit, miss
+	lp := &lutPair{hit: make([]int32, refInt), miss: make([]int32, refInt)}
+	for w := 0; w < refInt; w++ {
+		lp.hit[w] = int32(variantWeight(variant, w, true, refInt))
+		lp.miss[w] = int32(variantWeight(variant, w, false, refInt))
+	}
+	p, _ := sharedLUTs.LoadOrStore(key, lp)
+	lp = p.(*lutPair)
+	return lp.hit, lp.miss
 }
 
 // variantWeight is the reference (unmemoized) per-variant weighting; the

@@ -271,3 +271,37 @@ func TestRegistryHasAllVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestWeightLUTsSharedAndExact pins the shared weight tables: instances
+// of one (variant, RefInt) read the same backing arrays, every entry
+// equals the reference variantWeight, and another RefInt gets tables of
+// its own length.
+func TestWeightLUTsSharedAndExact(t *testing.T) {
+	cfg := testConfig()
+	for _, v := range []Variant{LiPRoMi, LoPRoMi, LoLiPRoMi, QuaPRoMi} {
+		a := MustNew(v, 2, cfg, 1)
+		b := MustNew(v, 4, cfg, 2)
+		if &a.lutHit[0] != &b.lutHit[0] || &a.lutMiss[0] != &b.lutMiss[0] {
+			t.Fatalf("%v: instances built separate weight tables", v)
+		}
+		if len(a.lutHit) != cfg.RefInt || len(a.lutMiss) != cfg.RefInt {
+			t.Fatalf("%v: table lengths %d/%d, want %d", v, len(a.lutHit), len(a.lutMiss), cfg.RefInt)
+		}
+		for w := 0; w < cfg.RefInt; w++ {
+			if got, want := int(a.lutHit[w]), variantWeight(v, w, true, cfg.RefInt); got != want {
+				t.Fatalf("%v: lutHit[%d] = %d, want %d", v, w, got, want)
+			}
+			if got, want := int(a.lutMiss[w]), variantWeight(v, w, false, cfg.RefInt); got != want {
+				t.Fatalf("%v: lutMiss[%d] = %d, want %d", v, w, got, want)
+			}
+		}
+	}
+	wide := DefaultConfig(16384, 2*testConfig().RefInt)
+	if got := len(MustNew(LiPRoMi, 1, wide, 1).lutHit); got != wide.RefInt {
+		t.Fatalf("RefInt %d got a %d-entry table", wide.RefInt, got)
+	}
+	ca := MustNewCa(1, DefaultCaConfig(cfg.RowsPerBank, cfg.RefInt), 1)
+	if lo := MustNew(LoPRoMi, 1, cfg, 1); &ca.loglut[0] != &lo.lutMiss[0] {
+		t.Fatal("CaPRoMi built its own LogWeight table")
+	}
+}

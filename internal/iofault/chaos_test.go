@@ -1,6 +1,7 @@
 package iofault
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -228,5 +229,91 @@ func TestChaosDoubleCloseRejected(t *testing.T) {
 	}
 	if err := f.Close(); err == nil {
 		t.Fatal("double close accepted")
+	}
+}
+
+// TestChaosWriteDoesNotRetainBuffer holds Chaos to the File contract that
+// Write must not retain p: a caller that reuses one image buffer across
+// flushes (the checkpoint does) and scribbles over it between Write and
+// Close must still commit exactly the bytes it wrote, and a second flush
+// through the same buffer must leave the first committed image unchanged.
+// Torn writes keep a prefix, so under them each image must be a prefix
+// of what was written.
+func TestChaosWriteDoesNotRetainBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ChaosConfig
+	}{
+		{"honest", ChaosConfig{Seed: 1}},
+		{"torn", ChaosConfig{Seed: 2, TornWrite: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := NewChaos(nil, tc.cfg)
+			var buf []byte
+			flush := func(dst string, image []byte) {
+				t.Helper()
+				buf = append(buf[:0], image...)
+				f, err := c.CreateTemp(dir, "t-*.tmp")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(buf); err != nil {
+					t.Fatal(err)
+				}
+				for i := range buf {
+					buf[i] = '#'
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Rename(f.Name(), dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(dst string, image []byte) {
+				t.Helper()
+				got, err := os.ReadFile(dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasPrefix(image, got) || (tc.cfg.TornWrite == 0 && len(got) != len(image)) {
+					t.Fatalf("%s holds %q, wrote %q", filepath.Base(dst), got, image)
+				}
+			}
+			first, second := []byte("first image\n"), []byte("second image, longer\n")
+			dst1, dst2 := filepath.Join(dir, "one"), filepath.Join(dir, "two")
+			flush(dst1, first)
+			check(dst1, first)
+			before, _ := os.ReadFile(dst1)
+			flush(dst2, second)
+			check(dst2, second)
+			if after, _ := os.ReadFile(dst1); !bytes.Equal(before, after) {
+				t.Fatalf("second flush changed the first image: %q -> %q", before, after)
+			}
+
+			// The append handle defers bytes to Sync, so it must copy too.
+			a, err := c.OpenAppend(filepath.Join(dir, "log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = append(buf[:0], first...)
+			if _, err := a.Write(buf); err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				buf[i] = '#'
+			}
+			if err := a.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check(filepath.Join(dir, "log"), first)
+		})
 	}
 }

@@ -24,6 +24,10 @@ import (
 // implementation is a thin wrapper over *os.File; the chaos
 // implementation buffers writes so it can tear, drop, or corrupt them
 // at Close time.
+//
+// Write must not retain p (the io.Writer rule): an implementation that
+// defers the bytes to Sync or Close copies them first. The checkpoint
+// reuses one image buffer across flushes and relies on this.
 type File interface {
 	io.Writer
 	// Sync flushes the file to stable storage (the durability point the
@@ -38,7 +42,8 @@ type File interface {
 
 // FS is the filesystem seam. Implementations must be safe for
 // concurrent use (the checkpoint serializes its own flushes, but
-// multiple checkpoints may share one FS).
+// multiple checkpoints may share one FS), and the Files they return
+// must not retain the slices passed to Write.
 type FS interface {
 	// ReadFile reads the whole file at path.
 	ReadFile(path string) ([]byte, error)

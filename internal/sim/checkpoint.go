@@ -83,38 +83,50 @@ func (r LoadReport) Note() string {
 // checkpointV1File is the legacy version-1 document, kept only so old
 // files can be migrated on load.
 type checkpointV1File struct {
-	Version int                         `json:"version"`
-	Sweeps  map[string]*checkpointSweep `json:"sweeps"`
-	Outputs map[string]checkpointOutput `json:"outputs,omitempty"`
-	Probes  map[string]json.RawMessage  `json:"probes,omitempty"`
+	Version int                           `json:"version"`
+	Sweeps  map[string]*checkpointV1Sweep `json:"sweeps"`
+	Outputs map[string]checkpointV1Output `json:"outputs,omitempty"`
+	Probes  map[string]json.RawMessage    `json:"probes,omitempty"`
 }
 
-// checkpointSweep holds the completed seeds of one fingerprinted sweep.
-type checkpointSweep struct {
-	// Done maps seed → completed result. Seeds absent from the map were
-	// not finished when the checkpoint was written and will be re-run.
+// checkpointV1Sweep holds the completed seeds of one fingerprinted sweep
+// in a v1 file.
+type checkpointV1Sweep struct {
+	// Done maps seed → completed result.
 	Done map[string]Result `json:"done"`
 }
 
-// checkpointOutput caches one fully rendered experiment section (used by
-// cmd/experiments to resume `all` at section granularity).
-type checkpointOutput struct {
+// checkpointV1Output is one rendered experiment section in a v1 file.
+type checkpointV1Output struct {
 	Text string `json:"text"`
 }
 
-// checkpointState is the in-memory store behind a checkpoint, the same
-// shape v1 used; only the serialization changed in v2.
+// ckptEntry is one stored entry beside its encoded v2 line: the JSON
+// line with its entrySum and trailing newline. The line is encoded once,
+// when the entry is stored, so a flush only concatenates lines; an
+// overwrite replaces value and line together.
+type ckptEntry[V any] struct {
+	val  V
+	line []byte
+}
+
+// checkpointState is the in-memory store behind a checkpoint.
 type checkpointState struct {
-	Sweeps  map[string]*checkpointSweep
-	Outputs map[string]checkpointOutput
-	Probes  map[string]json.RawMessage
+	// Sweeps maps sweep fingerprint → seed key → completed result. Seeds
+	// absent from a sweep were not finished and will be re-run.
+	Sweeps map[string]map[string]ckptEntry[Result]
+	// Probes maps probe fingerprint → JSON-encoded probe result.
+	Probes map[string]ckptEntry[json.RawMessage]
+	// Outputs maps section name → rendered text (used by cmd/experiments
+	// to resume `all` at section granularity).
+	Outputs map[string]ckptEntry[string]
 }
 
 func newCheckpointState() checkpointState {
 	return checkpointState{
-		Sweeps:  make(map[string]*checkpointSweep),
-		Outputs: make(map[string]checkpointOutput),
-		Probes:  make(map[string]json.RawMessage),
+		Sweeps:  make(map[string]map[string]ckptEntry[Result]),
+		Probes:  make(map[string]ckptEntry[json.RawMessage]),
+		Outputs: make(map[string]ckptEntry[string]),
 	}
 }
 
@@ -122,9 +134,19 @@ func newCheckpointState() checkpointState {
 func (s *checkpointState) entries() int {
 	n := len(s.Outputs) + len(s.Probes)
 	for _, sw := range s.Sweeps {
-		n += len(sw.Done)
+		n += len(sw)
 	}
 	return n
+}
+
+// putSweep stores one seed result with its encoded line.
+func (s *checkpointState) putSweep(fp, seed string, e ckptEntry[Result]) {
+	sw := s.Sweeps[fp]
+	if sw == nil {
+		sw = make(map[string]ckptEntry[Result])
+		s.Sweeps[fp] = sw
+	}
+	sw[seed] = e
 }
 
 // Line kinds of the v2 format.
@@ -167,6 +189,44 @@ func entrySum(kind, id1, id2 string, data []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// encodeLine renders l as one v2 line: its JSON and the newline.
+func encodeLine(l ckptLine) ([]byte, error) {
+	raw, err := json.Marshal(l)
+	if err != nil {
+		return nil, err
+	}
+	return append(raw, '\n'), nil
+}
+
+// sweepEntry encodes one seed result of sweep fp with its line.
+func sweepEntry(fp, seed string, res Result) (ckptEntry[Result], error) {
+	data, err := json.Marshal(res)
+	if err != nil {
+		return ckptEntry[Result]{}, err
+	}
+	line, err := encodeLine(ckptLine{K: lineSweep, FP: fp, Seed: seed,
+		Sum: entrySum(lineSweep, fp, seed, data), Data: data})
+	return ckptEntry[Result]{val: res, line: line}, err
+}
+
+// probeEntry encodes one probe result (already JSON) with its line.
+func probeEntry(fp string, data json.RawMessage) (ckptEntry[json.RawMessage], error) {
+	line, err := encodeLine(ckptLine{K: lineProbe, FP: fp,
+		Sum: entrySum(lineProbe, fp, "", data), Data: data})
+	return ckptEntry[json.RawMessage]{val: data, line: line}, err
+}
+
+// outputEntry encodes one rendered section with its line.
+func outputEntry(name, text string) (ckptEntry[string], error) {
+	data, err := json.Marshal(text)
+	if err != nil {
+		return ckptEntry[string]{}, err
+	}
+	line, err := encodeLine(ckptLine{K: lineOutput, Name: name,
+		Sum: entrySum(lineOutput, name, "", data), Data: data})
+	return ckptEntry[string]{val: text, line: line}, err
+}
+
 // Checkpoint is a durable store of completed per-seed results, rendered
 // section outputs and probe results, keyed by fingerprints. A hardened
 // sweep writes each seed's result through the checkpoint as it
@@ -207,6 +267,9 @@ type Checkpoint struct {
 	dirtyShards []bool
 	// stats counts cache traffic (see CacheStats).
 	stats CacheStats
+	// buf is the flush image buffer, reused across flushes (the FS seam
+	// must not retain what it is given to Write).
+	buf []byte
 	// FlushEvery bounds how many new results accumulate in memory before
 	// an automatic flush (default 1: write through on every result, the
 	// safest setting for multi-hour sweeps).
@@ -343,16 +406,42 @@ func (c *Checkpoint) load(raw []byte) LoadReport {
 				ErrCheckpointVersion, v1.Version, checkpointVersion)
 			return rep
 		}
-		if v1.Sweeps != nil {
-			c.data.Sweeps = v1.Sweeps
-		}
-		if v1.Outputs != nil {
-			c.data.Outputs = v1.Outputs
-		}
-		if v1.Probes != nil {
-			c.data.Probes = v1.Probes
-		}
 		rep.Migrated = true
+		drop := func(err error) {
+			rep.Dropped++
+			if rep.Err == nil {
+				rep.Err = fmt.Errorf("%w: v1 entry: %v", ErrCheckpointCorrupt, err)
+			}
+		}
+		for fp, sw := range v1.Sweeps {
+			if sw == nil {
+				continue
+			}
+			for seed, res := range sw.Done {
+				e, err := sweepEntry(fp, seed, res)
+				if err != nil {
+					drop(err)
+					continue
+				}
+				c.data.putSweep(fp, seed, e)
+			}
+		}
+		for fp, data := range v1.Probes {
+			e, err := probeEntry(fp, data)
+			if err != nil {
+				drop(err)
+				continue
+			}
+			c.data.Probes[fp] = e
+		}
+		for name, out := range v1.Outputs {
+			e, err := outputEntry(name, out.Text)
+			if err != nil {
+				drop(err)
+				continue
+			}
+			c.data.Outputs[name] = e
+		}
 		return rep
 	}
 	rep.Err = fmt.Errorf("%w: unparseable file", ErrCheckpointCorrupt)
@@ -410,19 +499,26 @@ func (c *Checkpoint) loadV2(raw []byte, bodyOff int) LoadReport {
 				corrupt("sweep entry payload at offset %d", lineStart)
 				continue
 			}
-			sw := c.data.Sweeps[l.FP]
-			if sw == nil {
-				sw = &checkpointSweep{Done: make(map[string]Result)}
-				c.data.Sweeps[l.FP] = sw
+			e, err := sweepEntry(l.FP, l.Seed, res)
+			if err != nil {
+				rep.Dropped++
+				corrupt("sweep entry payload at offset %d", lineStart)
+				continue
 			}
-			sw.Done[l.Seed] = res
+			c.data.putSweep(l.FP, l.Seed, e)
 		case lineProbe:
 			if entrySum(lineProbe, l.FP, "", l.Data) != l.Sum {
 				rep.Dropped++
 				corrupt("probe entry checksum mismatch at offset %d", lineStart)
 				continue
 			}
-			c.data.Probes[l.FP] = append(json.RawMessage(nil), l.Data...)
+			e, err := probeEntry(l.FP, append(json.RawMessage(nil), l.Data...))
+			if err != nil {
+				rep.Dropped++
+				corrupt("probe entry payload at offset %d", lineStart)
+				continue
+			}
+			c.data.Probes[l.FP] = e
 		case lineOutput:
 			if entrySum(lineOutput, l.Name, "", l.Data) != l.Sum {
 				rep.Dropped++
@@ -435,7 +531,13 @@ func (c *Checkpoint) loadV2(raw []byte, bodyOff int) LoadReport {
 				corrupt("output entry payload at offset %d", lineStart)
 				continue
 			}
-			c.data.Outputs[l.Name] = checkpointOutput{Text: text}
+			e, err := outputEntry(l.Name, text)
+			if err != nil {
+				rep.Dropped++
+				corrupt("output entry payload at offset %d", lineStart)
+				continue
+			}
+			c.data.Outputs[l.Name] = e
 		default:
 			corrupt("unknown line kind %q at offset %d", l.K, lineStart)
 		}
@@ -487,14 +589,14 @@ func (c *Checkpoint) lookup(fp string, seed uint64) (Result, bool) {
 		c.stats.SweepMisses++
 		return Result{}, false
 	}
-	r, ok := sw.Done[seedKey(seed)]
+	e, ok := sw[seedKey(seed)]
 	if ok {
 		c.stats.SweepHits++
 		obs.DedupHits.Inc()
 	} else {
 		c.stats.SweepMisses++
 	}
-	return r, ok
+	return e.val, ok
 }
 
 // record stores one completed seed result and flushes according to
@@ -504,15 +606,21 @@ func (c *Checkpoint) record(fp string, seed uint64, res Result) error {
 	if c == nil {
 		return nil
 	}
+	key := seedKey(seed)
+	e, err := sweepEntry(fp, key, res)
+	if err != nil {
+		return fmt.Errorf("sim: marshal checkpoint entry: %w", err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := c.data.Sweeps[fp]
-	if sw == nil {
-		sw = &checkpointSweep{Done: make(map[string]Result)}
-		c.data.Sweeps[fp] = sw
-	}
-	sw.Done[seedKey(seed)] = res
+	c.data.putSweep(fp, key, e)
 	c.markDirty(fp)
+	return c.countLocked()
+}
+
+// countLocked counts one accepted result and flushes once FlushEvery of
+// them are pending. Requires c.mu held.
+func (c *Checkpoint) countLocked() error {
 	c.dirty++
 	every := c.FlushEvery
 	if every <= 0 {
@@ -531,8 +639,8 @@ func (c *Checkpoint) Output(name string) (string, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, ok := c.data.Outputs[name]
-	return out.Text, ok
+	e, ok := c.data.Outputs[name]
+	return e.val, ok
 }
 
 // PutOutput caches the rendered text of a named experiment section and
@@ -542,9 +650,13 @@ func (c *Checkpoint) PutOutput(name, text string) error {
 	if c == nil {
 		return nil
 	}
+	e, err := outputEntry(name, text)
+	if err != nil {
+		return fmt.Errorf("sim: marshal checkpoint entry: %w", err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.data.Outputs[name] = checkpointOutput{Text: text}
+	c.data.Outputs[name] = e
 	c.markDirty(name)
 	return c.flushLocked()
 }
@@ -557,14 +669,14 @@ func (c *Checkpoint) Probe(fp string) (json.RawMessage, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	raw, ok := c.data.Probes[fp]
+	e, ok := c.data.Probes[fp]
 	if ok {
 		c.stats.ProbeHits++
 		obs.DedupHits.Inc()
 	} else {
 		c.stats.ProbeMisses++
 	}
-	return raw, ok
+	return e.val, ok
 }
 
 // PutProbe caches a probe cell's result (any JSON-encodable value) under
@@ -578,22 +690,18 @@ func (c *Checkpoint) PutProbe(fp string, v any) error {
 	if err != nil {
 		return fmt.Errorf("sim: marshal probe result: %w", err)
 	}
+	e, err := probeEntry(fp, raw)
+	if err != nil {
+		return fmt.Errorf("sim: marshal checkpoint entry: %w", err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.data.Probes == nil {
-		c.data.Probes = make(map[string]json.RawMessage)
+		c.data.Probes = make(map[string]ckptEntry[json.RawMessage])
 	}
-	c.data.Probes[fp] = raw
+	c.data.Probes[fp] = e
 	c.markDirty(fp)
-	c.dirty++
-	every := c.FlushEvery
-	if every <= 0 {
-		every = 1
-	}
-	if c.dirty >= every {
-		return c.flushLocked()
-	}
-	return nil
+	return c.countLocked()
 }
 
 // Flush forces pending state to disk.
@@ -606,84 +714,52 @@ func (c *Checkpoint) Flush() error {
 	return c.flushLocked()
 }
 
-// marshalLocked renders the v2 byte image of the current state: header
+// marshalShard renders the v2 byte image of one shard (-1: every entry,
+// single-file header) by concatenating the cached entry lines: header
 // line, entries in sorted-key order (so identical state always produces
-// identical bytes), digest trailer. Requires c.mu held.
-func (c *Checkpoint) marshalLocked() ([]byte, error) { return c.marshalShard(-1) }
-
-// marshalShardLocked renders shard i's byte image: the same v2 format,
-// restricted to entries whose cell-group key hashes to i, with the
-// sharded header. Requires c.mu held.
-func (c *Checkpoint) marshalShardLocked(i int) ([]byte, error) { return c.marshalShard(i) }
-
-// marshalShard is the shared renderer; shard -1 means "everything,
-// single-file header".
+// identical bytes), digest trailer. It reuses c.buf, so the image is
+// valid until the next call. Requires c.mu held.
 func (c *Checkpoint) marshalShard(shard int) ([]byte, error) {
-	var buf bytes.Buffer
-	writeLine := func(l ckptLine) error {
-		raw, err := json.Marshal(l)
-		if err != nil {
-			return err
-		}
-		buf.Write(raw)
-		buf.WriteByte('\n')
-		return nil
-	}
-	keep := func(key string) bool {
-		return shard < 0 || shardOf(key, c.shardN) == shard
-	}
 	hdr := ckptLine{Format: checkpointFormat, Version: checkpointVersion}
 	if shard >= 0 {
 		hdr.Shard = shard
 		hdr.Shards = c.shardN
 	}
-	if err := writeLine(hdr); err != nil {
+	line, err := encodeLine(hdr)
+	if err != nil {
 		return nil, err
+	}
+	buf := append(c.buf[:0], line...)
+	keep := func(key string) bool {
+		return shard < 0 || shardOf(key, c.shardN) == shard
 	}
 	for _, fp := range sortedKeys(c.data.Sweeps) {
 		if !keep(fp) {
 			continue
 		}
 		sw := c.data.Sweeps[fp]
-		for _, seed := range sortedKeys(sw.Done) {
-			data, err := json.Marshal(sw.Done[seed])
-			if err != nil {
-				return nil, err
-			}
-			if err := writeLine(ckptLine{K: lineSweep, FP: fp, Seed: seed,
-				Sum: entrySum(lineSweep, fp, seed, data), Data: data}); err != nil {
-				return nil, err
-			}
+		for _, seed := range sortedKeys(sw) {
+			buf = append(buf, sw[seed].line...)
 		}
 	}
 	for _, fp := range sortedKeys(c.data.Probes) {
-		if !keep(fp) {
-			continue
-		}
-		data := c.data.Probes[fp]
-		if err := writeLine(ckptLine{K: lineProbe, FP: fp,
-			Sum: entrySum(lineProbe, fp, "", data), Data: data}); err != nil {
-			return nil, err
+		if keep(fp) {
+			buf = append(buf, c.data.Probes[fp].line...)
 		}
 	}
 	for _, name := range sortedKeys(c.data.Outputs) {
-		if !keep(name) {
-			continue
-		}
-		data, err := json.Marshal(c.data.Outputs[name].Text)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeLine(ckptLine{K: lineOutput, Name: name,
-			Sum: entrySum(lineOutput, name, "", data), Data: data}); err != nil {
-			return nil, err
+		if keep(name) {
+			buf = append(buf, c.data.Outputs[name].line...)
 		}
 	}
-	h := sha256.Sum256(buf.Bytes())
-	if err := writeLine(ckptLine{K: lineDigest, Sum: hex.EncodeToString(h[:])}); err != nil {
+	h := sha256.Sum256(buf)
+	line, err = encodeLine(ckptLine{K: lineDigest, Sum: hex.EncodeToString(h[:])})
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	buf = append(buf, line...)
+	c.buf = buf
+	return buf, nil
 }
 
 // flushLocked writes pending state to disk atomically through the FS
@@ -693,7 +769,7 @@ func (c *Checkpoint) flushLocked() error {
 	if c.shardN > 0 {
 		return c.flushShardsLocked()
 	}
-	raw, err := c.marshalLocked()
+	raw, err := c.marshalShard(-1)
 	if err != nil {
 		return fmt.Errorf("sim: marshal checkpoint: %w", err)
 	}

@@ -14,15 +14,16 @@ import (
 )
 
 // Sharded checkpoints. A campaign at population scale carries far more
-// state than a single JSONL file can rewrite per flush: with one
-// monolithic file, every completed seed re-serializes every entry ever
+// state than a single JSONL file can rewrite per flush: each entry's line
+// is encoded once when it is stored, but with one monolithic file every
+// completed seed still copies, hashes and writes every line ever
 // recorded. Sharded mode turns the checkpoint path into a directory of
 // shard files, each a complete v2 checkpoint (header, checksummed
 // entries, whole-file digest) holding the entries whose cell-group key
 // hashes to it, and a flush rewrites only the shards that changed since
 // the last one. Kill/resume semantics are unchanged — each shard is
 // individually atomic (temp + fsync + rename), individually salvageable,
-// and marshaled in sorted-key order, so identical state produces
+// and laid out in sorted-key order, so identical state produces
 // identical bytes shard by shard no matter where a kill landed.
 //
 // Entries shard by cell group, not by entry: a sweep's seeds all hash
@@ -194,7 +195,7 @@ func (c *Checkpoint) flushShardsLocked() error {
 		if !c.dirtyShards[i] {
 			continue
 		}
-		raw, err := c.marshalShardLocked(i)
+		raw, err := c.marshalShard(i)
 		if err != nil {
 			return fmt.Errorf("sim: marshal checkpoint shard %d: %w", i, err)
 		}

@@ -352,24 +352,24 @@ func FuzzCheckpointSalvage(f *testing.F) {
 			if sfp != fp {
 				t.Fatalf("phantom sweep fingerprint %q appeared", sfp)
 			}
-			for key, res := range sw.Done {
+			for key, e := range sw {
 				var seed uint64
 				if _, err := fmt.Sscanf(key, "0x%x", &seed); err != nil {
 					t.Fatalf("phantom seed key %q", key)
 				}
-				if !reflect.DeepEqual(res, seedResult(seed)) {
-					t.Fatalf("seed %d survived with mutated payload: %+v", seed, res)
+				if !reflect.DeepEqual(e.val, seedResult(seed)) {
+					t.Fatalf("seed %d survived with mutated payload: %+v", seed, e.val)
 				}
 			}
 		}
-		for pfp, raw := range got.data.Probes {
-			if pfp != "pfp" || !bytes.Equal(raw, probeRaw) {
-				t.Fatalf("probe entry mutated: %q = %s", pfp, raw)
+		for pfp, e := range got.data.Probes {
+			if pfp != "pfp" || !bytes.Equal(e.val, probeRaw) {
+				t.Fatalf("probe entry mutated: %q = %s", pfp, e.val)
 			}
 		}
-		for name, out := range got.data.Outputs {
-			if name != "sect" || out.Text != "rendered" {
-				t.Fatalf("output entry mutated: %q = %q", name, out.Text)
+		for name, e := range got.data.Outputs {
+			if name != "sect" || e.val != "rendered" {
+				t.Fatalf("output entry mutated: %q = %q", name, e.val)
 			}
 		}
 	})

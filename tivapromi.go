@@ -332,7 +332,7 @@ func LoadCheckpointFS(path string, fsys FS) (*Checkpoint, error) {
 // LoadShardedCheckpoint opens or creates a sharded checkpoint: dir holds
 // one v2 checkpoint file per cell-group shard, and a flush rewrites only
 // the shards that changed — the layout for campaigns whose state is too
-// large to re-serialize monolithically. An existing directory's on-disk
+// large to rewrite as one file per flush. An existing directory's on-disk
 // shard count wins over the argument. Kill/resume semantics (atomic
 // writes, salvage, quarantine, byte-identical convergence) match the
 // single-file format shard by shard.

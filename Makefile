@@ -18,10 +18,12 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Exercise the debug-build weight assertions (release builds return 0 on a
-# negative weight; -tags tivadebug panics instead).
+# Exercise the debug-build assertions: the weight checks (release builds
+# return 0 on a negative weight; -tags tivadebug panics instead) and the
+# row-table pool's poison fill, which makes a double release or a write
+# after release panic, over the packages that build and release tables.
 test-debugasserts:
-	$(GO) test -tags tivadebug ./internal/core/...
+	$(GO) test -tags tivadebug ./internal/core/... ./internal/rowpool/ ./internal/dram/... ./internal/sim/ ./internal/mitigation/cra/
 
 # Race-detect the concurrent machinery: the hardened seed-sweep runner,
 # the fault-injection framework it drives, the campaign scheduler, the

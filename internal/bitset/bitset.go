@@ -24,8 +24,21 @@ func New(n int) *Bitset {
 	if n < 0 {
 		panic("bitset: negative size")
 	}
-	return &Bitset{words: make([]uint64, (n+63)>>6), n: n}
+	return &Bitset{words: make([]uint64, WordsFor(n)), n: n}
 }
+
+// FromWords returns a Bitset of n bits backed by words, which must be
+// WordsFor(n) long and all zero; the set uses them in place, and Words
+// gives them back. It lets a caller supply recycled storage.
+func FromWords(words []uint64, n int) *Bitset {
+	if n < 0 || len(words) != WordsFor(n) {
+		panic("bitset: word count does not match size")
+	}
+	return &Bitset{words: words, n: n}
+}
+
+// WordsFor returns the number of 64-bit words a set of n bits occupies.
+func WordsFor(n int) int { return (n + 63) >> 6 }
 
 // Len returns the capacity in bits.
 func (b *Bitset) Len() int { return b.n }

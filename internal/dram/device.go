@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tivapromi/internal/bitset"
+	"tivapromi/internal/rowpool"
 )
 
 // FlipEvent records a victim row crossing the disturbance threshold — a
@@ -127,11 +128,32 @@ func New(p Params, policy RefreshPolicy) (*Device, error) {
 	} else {
 		d.disturb = make([][]uint32, banks)
 		for b := range d.disturb {
-			d.disturb[b] = make([]uint32, p.RowsPerBank)
+			d.disturb[b] = rowpool.Get[uint32](p.RowsPerBank)
 		}
-		d.flipped = bitset.New(banks * p.RowsPerBank)
+		n := banks * p.RowsPerBank
+		d.flipped = bitset.FromWords(rowpool.Get[uint64](bitset.WordsFor(n)), n)
 	}
 	return d, nil
+}
+
+// Release hands the device's per-row tables — dense disturbance rows and
+// flip-bitset words, or sparse disturbance pages — back to the row-table
+// pool for the next device of the same geometry. Only the code that
+// built the device may call it, after its last use of the device: the
+// activity counters and flip events stay readable, but the device must
+// not be activated, refreshed or probed again. A device that is never
+// released is simply collected.
+func (d *Device) Release() {
+	for _, row := range d.disturb {
+		rowpool.Put(row)
+	}
+	for b := range d.sp {
+		d.sp[b].release()
+	}
+	if d.flipped != nil {
+		rowpool.Put(d.flipped.Words())
+	}
+	d.disturb, d.sp, d.flipped = nil, nil, nil
 }
 
 // Params returns the device parameters.
@@ -217,7 +239,7 @@ func (d *Device) restore(bank, prow int) {
 		d.disturb[bank][prow] = 0
 		return
 	}
-	d.sp[bank].set(prow, 0)
+	d.sp[bank].zero(prow)
 }
 
 // disturbNeighbor bumps the disturbance counter of a physical row and
@@ -314,7 +336,7 @@ func (d *Device) activatePhysical(bank, prow int) {
 		return
 	}
 	s := &d.sp[bank]
-	s.set(prow, 0)
+	s.zero(prow)
 	if prow > 0 {
 		pg := s.page(prow - 1)
 		c := pg[(prow-1)&pageMask] + 1

@@ -477,3 +477,43 @@ func TestFlipCorruptionDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedTablesComeBackZeroed: a device built after another of the
+// same geometry was released — with live disturbance counts and flip
+// bookkeeping — starts from all-zero state in both representations, and
+// the released device's counters stay readable.
+func TestReleasedTablesComeBackZeroed(t *testing.T) {
+	for _, state := range []StateMode{StateDense, StateSparse} {
+		p := testParams()
+		p.State = state
+		var firstFlips uint64
+		for round := 0; round < 3; round++ {
+			d := mustDevice(t, p, nil)
+			for b := 0; b < p.Banks; b++ {
+				for r := 0; r < p.RowsPerBank; r++ {
+					if d.Disturbance(b, r) != 0 {
+						t.Fatalf("state %v round %d: bank %d row %d starts at %d", state, round, b, r, d.Disturbance(b, r))
+					}
+				}
+			}
+			for i := 0; i < int(p.FlipThreshold)+5; i++ {
+				d.Activate(1, 40)
+				d.Activate(0, 200)
+			}
+			if d.FlipCount() == 0 {
+				t.Fatal("hammering flipped nothing; the test needs live flip state")
+			}
+			// Flip bits left set by the last device would swallow these.
+			flips := d.FlipCount()
+			if round == 0 {
+				firstFlips = flips
+			} else if flips != firstFlips {
+				t.Fatalf("state %v round %d: %d flips, the first device saw %d", state, round, flips, firstFlips)
+			}
+			d.Release()
+			if d.FlipCount() != flips || d.Stats().Activates == 0 {
+				t.Fatal("released device lost its counters")
+			}
+		}
+	}
+}

@@ -120,8 +120,13 @@ func (r *RandomPolicy) Name() string { return "random" }
 // RowsFor implements RefreshPolicy.
 func (r *RandomPolicy) RowsFor(window, interval int) []int {
 	if window != r.window {
-		src := rng.NewXorShift64Star(r.seed + uint64(window)*0x9e37)
-		r.perm = rng.Perm(src, r.p.RowsPerBank)
+		// Shuffle in place: the previous window's rows are dead once the
+		// window moves on (RowsFor results are valid only until the next
+		// call), so one permutation buffer serves the whole run.
+		if r.perm == nil {
+			r.perm = make([]int, r.p.RowsPerBank)
+		}
+		rng.PermInto(rng.NewXorShift64Star(r.seed+uint64(window)*0x9e37), r.perm)
 		r.window = window
 	}
 	rpi := r.p.RowsPerInterval()

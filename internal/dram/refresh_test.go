@@ -1,6 +1,10 @@
 package dram
 
-import "testing"
+import (
+	"testing"
+
+	"tivapromi/internal/rng"
+)
 
 func policies(p Params) []RefreshPolicy {
 	return []RefreshPolicy{
@@ -66,6 +70,35 @@ func TestRandomPolicyChangesAcrossWindows(t *testing.T) {
 	}
 	if same {
 		t.Fatal("random policy repeated the permutation across windows")
+	}
+}
+
+// TestRandomPolicyShufflesInPlace: every window's order is the
+// permutation rng.Perm draws from the window's seed, and moving to a new
+// window reuses the policy's buffer instead of allocating another.
+func TestRandomPolicyShufflesInPlace(t *testing.T) {
+	p := testParams()
+	pol := NewRandomPolicy(p, 7)
+	rpi := p.RowsPerInterval()
+	for w := 0; w < 4; w++ {
+		want := rng.Perm(rng.NewXorShift64Star(7+uint64(w)*0x9e37), p.RowsPerBank)
+		for iv := 0; iv < p.RefInt; iv++ {
+			got := pol.RowsFor(w, iv)
+			for k, r := range got {
+				if r != want[iv*rpi+k] {
+					t.Fatalf("window %d interval %d: row %d = %d, want %d", w, iv, k, r, want[iv*rpi+k])
+				}
+			}
+		}
+	}
+	w := 4
+	allocs := testing.AllocsPerRun(10, func() {
+		pol.RowsFor(w, 0)
+		w++
+	})
+	// The per-window generator is the only allocation left.
+	if allocs > 1 {
+		t.Fatalf("a window change allocates %.0f times, want at most 1", allocs)
 	}
 }
 

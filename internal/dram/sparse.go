@@ -1,5 +1,7 @@
 package dram
 
+import "tivapromi/internal/rowpool"
+
 // Lazily-paged per-row state. A full-DIMM population (32 banks × 64K
 // rows) makes the seed's dense per-row arrays — disturbance counters,
 // flip bookkeeping, the data-store index — the dominant heap cost even
@@ -45,29 +47,49 @@ func (p *pagedU32) get(row int) uint32 {
 
 // page returns the page holding row, allocating it on first touch.
 func (p *pagedU32) page(row int) []uint32 {
-	i := row >> pageShift
-	pg := p.pages[i]
-	if pg == nil {
-		pg = make([]uint32, pageRows)
-		p.pages[i] = pg
+	if pg := p.pages[row>>pageShift]; pg != nil {
+		return pg
 	}
+	return p.grow(row)
+}
+
+// grow installs a zeroed page from the row-table pool for row's range.
+// It is kept out of line so that page and zero, which run on every
+// activation and refresh restore, stay small enough to inline.
+//
+//go:noinline
+func (p *pagedU32) grow(row int) []uint32 {
+	pg := rowpool.Get[uint32](pageRows)
+	p.pages[row>>pageShift] = pg
 	return pg
 }
 
-// set stores v at row. Storing zero into an untouched page is a no-op —
-// absent pages already read as zero — so refresh restores of quiet rows
-// never allocate.
-func (p *pagedU32) set(row int, v uint32) {
-	i := row >> pageShift
-	pg := p.pages[i]
-	if pg == nil {
-		if v == 0 {
-			return
-		}
-		pg = make([]uint32, pageRows)
-		p.pages[i] = pg
+// zero stores 0 at row. Absent pages already read as zero, so refresh
+// restores of quiet rows never allocate.
+func (p *pagedU32) zero(row int) {
+	if pg := p.pages[row>>pageShift]; pg != nil {
+		pg[row&pageMask] = 0
 	}
-	pg[row&pageMask] = v
+}
+
+// set stores v at row; like zero, storing 0 never allocates.
+func (p *pagedU32) set(row int, v uint32) {
+	if v == 0 {
+		p.zero(row)
+		return
+	}
+	p.page(row)[row&pageMask] = v
+}
+
+// release hands every allocated page back to the row-table pool; the
+// store reads as untouched afterwards.
+func (p *pagedU32) release() {
+	for i, pg := range p.pages {
+		if pg != nil {
+			rowpool.Put(pg)
+			p.pages[i] = nil
+		}
+	}
 }
 
 // touchedPages counts allocated pages.

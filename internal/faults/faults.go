@@ -257,6 +257,10 @@ func (h *Harness) Reset() {
 // TableBytesPerBank implements mitigation.Mitigator.
 func (h *Harness) TableBytesPerBank() int { return h.inner.TableBytesPerBank() }
 
+// Release implements mitigation.Releaser by releasing the wrapped
+// technique; the same ownership rule applies.
+func (h *Harness) Release() { mitigation.Release(h.inner) }
+
 // CommandFilter returns the memctrl fault filter realizing a command-path
 // plan (DropActN/DelayActN), or nil for every other model.
 func CommandFilter(plan Plan) func(mitigation.Command) memctrl.Disposition {

@@ -241,3 +241,28 @@ func TestCorruptingReader(t *testing.T) {
 		t.Fatal("different seeds produced identical corruption")
 	}
 }
+
+// releaseCounter is a table-owning mitigation that counts releases.
+type releaseCounter struct {
+	mitigation.Mitigator
+	released int
+}
+
+func (r *releaseCounter) Release() { r.released++ }
+
+// TestHarnessForwardsRelease: releasing a harness releases the wrapped
+// technique's tables; a technique without tables is left alone.
+func TestHarnessForwardsRelease(t *testing.T) {
+	f, err := mitigation.Lookup("PARA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &releaseCounter{Mitigator: f(target(), 1)}
+	plan := faults.Plan{Model: faults.StateSEU, Rate: 0.01, Seed: 3}
+	mitigation.Release(faults.Wrap(inner, plan))
+	if inner.released != 1 {
+		t.Fatalf("wrapped technique released %d times, want 1", inner.released)
+	}
+	mitigation.Release(faults.Wrap(f(target(), 1), plan)) // PARA owns no tables
+	mitigation.Release(nil)
+}

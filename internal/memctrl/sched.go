@@ -125,11 +125,14 @@ type Scheduler struct {
 	queue    []Request
 	queueCap int
 
-	cycle       int64
-	nextRef     int64
-	actTimes    []int64 // recent ACT issue cycles for the tFAW window
-	lastAct     int64   // for tRRD
-	lastActBank int     // bank of the last ACT, for bank-group spacing
+	cycle   int64
+	nextRef int64
+	// actTimes is a ring of the last four ACT issue cycles, for the tFAW
+	// window; actNext indexes the oldest, the 4th-most-recent ACT.
+	actTimes    [4]int64
+	actNext     int
+	lastAct     int64 // for tRRD
+	lastActBank int   // bank of the last ACT, for bank-group spacing
 
 	pending []mitigation.Command
 	scratch []mitigation.Command
@@ -155,6 +158,11 @@ func NewScheduler(t Timing, dev *dram.Device, mit mitigation.Mitigator, queueCap
 		lastAct:  -1 << 40,
 	}
 	s.lastActBank = -1
+	// Slots not yet written hold the same far-past sentinel as lastAct,
+	// so fewer than four ACTs never close the tFAW window.
+	for i := range s.actTimes {
+		s.actTimes[i] = -1 << 40
+	}
 	for b := range s.banks {
 		s.banks[b].openRow = -1
 	}
@@ -244,7 +252,7 @@ func (s *Scheduler) canActivate(bank int) bool {
 	if s.cycle-s.lastAct < gap {
 		return false
 	}
-	if len(s.actTimes) >= 4 && s.cycle-s.actTimes[len(s.actTimes)-4] < int64(s.timing.TFAW) {
+	if s.cycle-s.actTimes[s.actNext] < int64(s.timing.TFAW) {
 		return false
 	}
 	return true
@@ -259,10 +267,8 @@ func (s *Scheduler) issueACT(bank, row int) {
 	b.actReady = s.cycle + int64(s.timing.TRC)
 	s.lastAct = s.cycle
 	s.lastActBank = bank
-	s.actTimes = append(s.actTimes, s.cycle)
-	if len(s.actTimes) > 8 {
-		s.actTimes = s.actTimes[len(s.actTimes)-8:]
-	}
+	s.actTimes[s.actNext] = s.cycle
+	s.actNext = (s.actNext + 1) & 3
 	s.stats.RowMisses++
 	s.dev.Activate(bank, row)
 	if s.mit != nil {

@@ -286,3 +286,37 @@ func TestBankGroupSpacing(t *testing.T) {
 		t.Fatalf("cross-group ACT gap %d, want tRRD_S %d", crossGroup, tm.TRRDS)
 	}
 }
+
+// TestTFAWRingMatchesHistory pins the four-slot tFAW ring against the
+// rule it replaces: with fewer than four ACTs on record the window is
+// open, otherwise the 4th-most-recent ACT must be at least tFAW old.
+// Random issue gaps straddle tFAW so both outcomes occur.
+func TestTFAWRingMatchesHistory(t *testing.T) {
+	s, _ := newSched(t, nil)
+	faw := int64(s.timing.TFAW)
+	var hist []int64
+	open := func(cycle int64) bool {
+		return len(hist) < 4 || cycle-hist[len(hist)-4] >= faw
+	}
+	seed := uint64(0x9e3779b97f4a7c15)
+	cycle := int64(0)
+	shut := 0
+	for i := 0; i < 2000; i++ {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		cycle += int64(seed % uint64(faw/2+2))
+		// Probe with tRRD out of the way so only tFAW decides.
+		s.cycle, s.lastAct = cycle, cycle-1<<20
+		if got, want := s.canActivate(i%2), open(cycle); got != want {
+			t.Fatalf("ACT %d at cycle %d: canActivate = %v, history rule says %v", i, cycle, got, want)
+		} else if !want {
+			shut++
+		}
+		s.issueACT(i%2, (i*37)%256)
+		hist = append(hist, cycle)
+	}
+	if shut == 0 {
+		t.Fatal("the tFAW window never closed; the probe gaps are too wide")
+	}
+}

@@ -13,6 +13,7 @@ package cra
 import (
 	"tivapromi/internal/mitigation"
 	"tivapromi/internal/rng"
+	"tivapromi/internal/rowpool"
 )
 
 // CRA is the mitigation state. Create instances with New.
@@ -29,9 +30,19 @@ func New(banks, rowsPerBank int, thRH uint32) *CRA {
 	c := &CRA{thRH: thRH, rowsPB: rowsPerBank, cntBits: bitsFor(thRH)}
 	c.counters = make([][]uint32, banks)
 	for b := range c.counters {
-		c.counters[b] = make([]uint32, rowsPerBank)
+		c.counters[b] = rowpool.Get[uint32](rowsPerBank)
 	}
 	return c
+}
+
+// Release implements mitigation.Releaser: the counter rows go back to
+// the row-table pool. Only the code that built c may call it, after its
+// last use of c.
+func (c *CRA) Release() {
+	for _, row := range c.counters {
+		rowpool.Put(row)
+	}
+	c.counters = nil
 }
 
 // Factory adapts New to the registry signature, deriving the trigger

@@ -134,6 +134,23 @@ type RandSettable interface {
 	SetRandSource(src rng.Source)
 }
 
+// Releaser is implemented by mitigations that own per-row tables large
+// enough to recycle (CRA's counters). Release hands them back to the
+// row-table pool; only the code that built the instance may call it,
+// once, after its last use. Instances that are never released are
+// simply collected.
+type Releaser interface {
+	Release()
+}
+
+// Release releases m when it implements Releaser; nil and table-less
+// mitigations are left alone.
+func Release(m Mitigator) {
+	if r, ok := m.(Releaser); ok {
+		r.Release()
+	}
+}
+
 // Target describes the protected device to a mitigation factory.
 type Target struct {
 	// Banks, RowsPerBank and RefInt mirror the dram.Params structure.

@@ -252,12 +252,19 @@ func Intn(src Source, n int) int {
 // Fisher-Yates shuffle.
 func Perm(src Source, n int) []int {
 	p := make([]int, n)
+	PermInto(src, p)
+	return p
+}
+
+// PermInto fills p with a pseudo-random permutation of [0, len(p)),
+// drawing exactly what Perm(src, len(p)) draws, so both produce the same
+// permutation. It lets a caller reuse one buffer across permutations.
+func PermInto(src Source, p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := Intn(src, i+1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }

@@ -170,6 +170,24 @@ func TestPermIsPermutationProperty(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm: PermInto draws what Perm draws, whatever the
+// buffer held before.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := make([]int, 97)
+	for seed := uint64(1); seed < 6; seed++ {
+		for i := range buf {
+			buf[i] = -i * int(seed)
+		}
+		want := Perm(NewXorShift64Star(seed), len(buf))
+		PermInto(NewXorShift64Star(seed), buf)
+		for i := range buf {
+			if buf[i] != want[i] {
+				t.Fatalf("seed %d: entry %d = %d, want %d", seed, i, buf[i], want[i])
+			}
+		}
+	}
+}
+
 func TestPermUniformityShuffle(t *testing.T) {
 	// Position of element 0 across many shuffles of 4 elements should be
 	// roughly uniform.

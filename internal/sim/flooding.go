@@ -88,6 +88,7 @@ func floodWithFactory(ctx context.Context, factory mitigation.Factory, p dram.Pa
 		for interval := 0; ; interval++ {
 			if interval&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
+					mitigation.Release(m)
 					return res, err
 				}
 			}
@@ -112,6 +113,8 @@ func floodWithFactory(ctx context.Context, factory mitigation.Factory, p dram.Pa
 				break
 			}
 		}
+		// The trial built m, so it hands m's tables back for the next.
+		mitigation.Release(m)
 		if protectedAt == 0 {
 			res.Unprotected++
 			continue

@@ -30,6 +30,7 @@ func ReplayTrace(r *trace.Reader, technique string, flipThreshold uint32) (Resul
 	if err != nil {
 		return Result{}, err
 	}
+	defer dev.Release()
 	var mit mitigation.Mitigator
 	if technique != "" {
 		factory, err := mitigation.Lookup(technique)
@@ -40,6 +41,7 @@ func ReplayTrace(r *trace.Reader, technique string, flipThreshold uint32) (Resul
 			Banks: p.Banks, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
 			FlipThreshold: p.FlipThreshold,
 		}, 1)
+		defer mitigation.Release(mit)
 	}
 
 	res := Result{Technique: techniqueName(mit), Policy: dev.Policy().Name()}
@@ -106,6 +108,7 @@ func RecordTrace(cfg Config, w *trace.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer env.release()
 	var werr error
 	for b, l := range env.lanes {
 		bank := b

@@ -93,6 +93,11 @@ func ScaleSmoke(ctx context.Context, cfg Config, technique string) (ScaleSmokeRe
 		Sparse:     cfg.Params.Sparse(),
 		DenseBytes: dram.DenseStateBytes(cfg.Params),
 	}
+	// Two collections empty the row-table pool (a pooled table survives
+	// one GC in sync.Pool's victim cache, never two), so the run below
+	// allocates its tables fresh and the growth counts every one of
+	// them.
+	runtime.GC()
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -102,6 +107,8 @@ func ScaleSmoke(ctx context.Context, cfg Config, technique string) (ScaleSmokeRe
 	if err != nil {
 		return rep, err
 	}
+	// Deferred, so the tables go back only after the heap reading below.
+	defer env.release()
 	if err := env.runBlocks(ctx, 0); err != nil {
 		return rep, err
 	}

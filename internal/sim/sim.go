@@ -229,6 +229,7 @@ func RunCtxBatch(ctx context.Context, cfg Config, technique string, batch int) (
 	if err != nil {
 		return Result{}, err
 	}
+	defer env.release()
 	if err := env.runBlocks(ctx, batch); err != nil {
 		return Result{}, err
 	}
@@ -252,6 +253,7 @@ func RunShardedCtx(ctx context.Context, cfg Config, technique string, shards int
 	if err != nil {
 		return Result{}, err
 	}
+	defer env.release()
 	if err := env.runSharded(ctx, shards); err != nil {
 		return Result{}, err
 	}
@@ -268,6 +270,7 @@ func RunReferenceCtx(ctx context.Context, cfg Config, technique string) (Result,
 	if err != nil {
 		return Result{}, err
 	}
+	defer env.release()
 	total := env.intervals * env.api
 	iv, rem := 0, env.api
 	for i := 0; i < total; i++ {
@@ -332,11 +335,11 @@ type runEnv struct {
 	api       int // accesses per global refresh interval
 	intervals int // total refresh intervals (Windows * RefInt)
 	lanes     []*memctrl.Lane
-	harnesses []*faults.Harness // per lane; nil without an active plan
+	harnesses []*faults.Harness      // per lane; nil without an active plan
+	mits      []mitigation.Mitigator // per lane, possibly fault-wrapped; nil entries when unprotected
 	st        *stream
-	mit0      mitigation.Mitigator // lane 0's (possibly fault-wrapped) instance
-	falseActs []padCounter         // per lane, padded against false sharing
-	res       Result               // identity fields
+	falseActs []padCounter // per lane, padded against false sharing
+	res       Result       // identity fields
 }
 
 // padCounter is a cache-line-padded counter: one per lane, so shard
@@ -431,6 +434,7 @@ func prepareRun(cfg Config, technique string) (*runEnv, error) {
 		intervals: cfg.Windows * cfg.Params.RefInt,
 		lanes:     make([]*memctrl.Lane, banks),
 		harnesses: make([]*faults.Harness, banks),
+		mits:      make([]mitigation.Mitigator, banks),
 		st:        st,
 		falseActs: make([]padCounter, banks),
 	}
@@ -488,12 +492,10 @@ func prepareRun(cfg Config, technique string) (*runEnv, error) {
 			}
 		})
 		env.lanes[b] = lane
-		if b == 0 {
-			env.mit0 = mit
-		}
+		env.mits[b] = mit
 	}
 	env.res = Result{
-		Technique: techniqueName(env.mit0),
+		Technique: techniqueName(env.mits[0]),
 		Policy:    env.lanes[0].Device().Policy().Name(),
 		Seed:      cfg.Seed,
 	}
@@ -600,8 +602,8 @@ func (e *runEnv) collect() Result {
 		res.OverheadPct = 100 * float64(res.ExtraActs) / float64(res.TotalActs)
 		res.FPRPct = 100 * float64(res.FalseActs) / float64(res.TotalActs)
 	}
-	if e.mit0 != nil {
-		res.TableBytes = e.mit0.TableBytesPerBank()
+	if m := e.mits[0]; m != nil {
+		res.TableBytes = m.TableBytesPerBank()
 	}
 	if seenIA > 0 {
 		res.AvgActsPerInterval = float64(sumIA) / float64(seenIA)
@@ -624,6 +626,18 @@ func (e *runEnv) collect() Result {
 		obs.TouchedRows.SetMax(int64(touched))
 	}
 	return res
+}
+
+// release hands every lane's row tables — its device's and, for
+// techniques that own them, its mitigation's — back to the row-table
+// pool. The env built them, so it alone releases them: each driver
+// defers release right after prepareRun, so it runs after collect() on
+// success and on error alike, once every shard worker has exited.
+func (e *runEnv) release() {
+	for b, l := range e.lanes {
+		l.Device().Release()
+		mitigation.Release(e.mits[b])
+	}
 }
 
 func techniqueName(m mitigation.Mitigator) string {

@@ -179,12 +179,15 @@ func rotationProbe(ctx context.Context, technique string, p dram.Params, seed ui
 		Banks: 1, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
 		FlipThreshold: p.FlipThreshold,
 	}
-	if esc, ok := factory(target, seed).(mitigation.Escalation); ok {
+	m := factory(target, seed)
+	if esc, ok := m.(mitigation.Escalation); ok {
 		nonEscalating = !esc.EscalatesUnderAttack()
 	}
+	mitigation.Release(m)
 
 	run := func(victims []int) (float64, error) {
 		m := factory(target, seed)
+		defer mitigation.Release(m)
 		// Aggressor list: both neighbors of every victim, interleaved.
 		var rows []int
 		for _, v := range victims {
